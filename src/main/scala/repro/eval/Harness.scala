@@ -115,9 +115,12 @@ object Harness {
   // Table 3: efficiency (wall seconds per dataset × fn × algorithm)
   // ------------------------------------------------------------------
 
+  /** `pruning` sums the Algorithm-3 counters over every query and partition
+    * (all zero for an overtime cell, which runs no search).
+    */
   final case class Table3Row(dataset: String, fn: String, algo: String,
                              seconds: Double, overtime: Boolean,
-                             bestDist: Double)
+                             bestDist: Double, pruning: Pruner.Stats)
 
   /** Per-cell time budget: if a driver-side projection from two sample
     * trajectories exceeds it, the cell reports "overtime" (the paper's
@@ -152,24 +155,30 @@ object Harness {
         val parallelism = math.min(spark.sparkContext.defaultParallelism, spec.nData)
         val projected = perPair * spec.nData * queries.length / parallelism
         if (projected > OvertimeBudgetSec) {
-          Table3Row(spec.name, fn.name, algo, projected, overtime = true, Double.NaN)
+          Table3Row(spec.name, fn.name, algo, projected, overtime = true, Double.NaN, Pruner.Stats())
         } else {
           val t0 = System.nanoTime()
           var bestDist = Double.PositiveInfinity
+          var pruning = Pruner.Stats()
           for (q <- queries) {
-            val partBest = data.mapPartitions { it =>
+            // One (best distance, counters) row per partition; +inf when
+            // every trajectory of the partition was pruned.
+            val parts = data.mapPartitions { it =>
               val s = searcher(algo, fn, bcP.value)
               val trajs = it.filter(_.length > 0).map(t => (t.id, t.points))
-              Pruner.search(q, trajs.toSeq, fn, params,
-                (a: Array[Point], b: Array[Point]) => s(scala.collection.immutable.ArraySeq.unsafeWrapArray(a), scala.collection.immutable.ArraySeq.unsafeWrapArray(b))).iterator
+              val stats = Pruner.Stats()
+              val best = Pruner.search(q, trajs.toSeq, fn, params,
+                (a: Array[Point], b: Array[Point]) => s(scala.collection.immutable.ArraySeq.unsafeWrapArray(a), scala.collection.immutable.ArraySeq.unsafeWrapArray(b)),
+                stats)
+              Iterator.single((best.fold(Double.PositiveInfinity)(_.dist), stats))
             }.collect()
-            if (partBest.nonEmpty) {
-              val d = partBest.map(_.dist).min
+            for ((d, stats) <- parts) {
               if (d < bestDist) bestDist = d
+              pruning += stats
             }
           }
           Table3Row(spec.name, fn.name, algo, (System.nanoTime() - t0) / 1e9,
-                    overtime = false, bestDist)
+                    overtime = false, bestDist, pruning)
         }
       }
       data.unpersist()
@@ -179,10 +188,13 @@ object Harness {
 
   def formatTable3(rows: Seq[Table3Row]): String = {
     val sb = new StringBuilder
-    sb.append(f"${"Dataset"}%-9s ${"Fn"}%-7s ${"Algorithm"}%-9s ${"Time(s)"}%12s\n")
+    sb.append(f"${"Dataset"}%-9s ${"Fn"}%-7s ${"Algorithm"}%-9s ${"Time(s)"}%12s " +
+              f"${"Examined"}%9s ${"GBP-pruned"}%10s ${"KPF-pruned"}%10s ${"Searched"}%9s\n")
     rows.foreach { r =>
       val t = if (r.overtime) f"overtime(~${r.seconds}%.0f)" else f"${r.seconds}%.2f"
-      sb.append(f"${r.dataset}%-9s ${r.fn}%-7s ${r.algo}%-9s $t%12s\n")
+      val p = r.pruning
+      sb.append(f"${r.dataset}%-9s ${r.fn}%-7s ${r.algo}%-9s $t%12s " +
+                f"${p.examined}%9d ${p.gbpPruned}%10d ${p.kpfPruned}%10d ${p.searched}%9d\n")
     }
     sb.toString
   }

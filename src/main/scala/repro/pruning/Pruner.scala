@@ -15,10 +15,16 @@ object Pruner {
     * `0.8e-4` is in degrees ≈ 0.9 km).
     */
   final case class Params(eps: Double, mu: Double = 0.4, r: Double = 0.05,
-                          useGBP: Boolean = true, useKPF: Boolean = true)
+                          useGBP: Boolean = true, useKPF: Boolean = true) {
+    GBP.requireParams(eps, mu)
+    require(r > 0 && r <= 1, s"KPF sampling rate r must be in (0, 1], got $r")
+  }
 
   final case class Stats(var examined: Int = 0, var gbpPruned: Int = 0,
-                         var kpfPruned: Int = 0, var searched: Int = 0)
+                         var kpfPruned: Int = 0, var searched: Int = 0) {
+    def +(o: Stats): Stats = Stats(examined + o.examined, gbpPruned + o.gbpPruned,
+                                   kpfPruned + o.kpfPruned, searched + o.searched)
+  }
 
   /** Best hit over `data` for query `q` using `searchOne` on survivors.
     * Mirrors Algorithm 3 lines 6–15: the first unpruned trajectory seeds the

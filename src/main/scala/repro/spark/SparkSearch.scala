@@ -60,6 +60,7 @@ object SparkSearch {
     * `close(τq, τd)` count (Eq. 27) reaches `mu * m`.
     */
   def gbpCandidates(data: Dataset[Traj], q: Array[Point], eps: Double, mu: Double): DataFrame = {
+    GBP.requireParams(eps, mu)
     val spark = data.sparkSession
     import spark.implicits._
     // Data side: distinct dilated cells per trajectory (the B(·) blocks).

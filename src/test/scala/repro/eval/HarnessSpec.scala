@@ -37,8 +37,10 @@ class HarnessSpec extends AnyFunSuite with SparkSpec {
     for (a <- Harness.AllAlgos) assert(s.contains(a))
   }
 
+  private lazy val t3 = Harness.table3(spark, Seq(Workloads.tiny))
+
   test("table3 on the tiny workload: every cell completes, exact algorithms agree") {
-    val rows = Harness.table3(spark, Seq(Workloads.tiny))
+    val rows = t3
     assert(rows.length == 4 * 6 + 1 + 1)
     assert(rows.forall(!_.overtime))
     assert(rows.forall(_.seconds > 0))
@@ -49,6 +51,17 @@ class HarnessSpec extends AnyFunSuite with SparkSpec {
       for (d <- exact) assert(math.abs(d - exact.head) < 1e-6,
         s"exact algorithms disagree under $fnName: $exact")
     }
+  }
+
+  test("table3 reports the pruning counters of every cell") {
+    val spec = Workloads.tiny
+    for (r <- t3) {
+      val p = r.pruning
+      assert(p.examined == spec.nData * spec.nQueries, s"$r")
+      assert(p.gbpPruned + p.kpfPruned + p.searched == p.examined, s"$r")
+    }
+    val s = Harness.formatTable3(t3)
+    for (h <- Seq("Examined", "GBP-pruned", "KPF-pruned", "Searched")) assert(s.contains(h))
   }
 
   test("table4 empirical exponents: ExactS grows faster than CMA") {

@@ -85,6 +85,84 @@ class PruningSpec extends AnyFunSuite {
     assert(large >= small)
   }
 
+  // --- GBP query-side table == hash-set reference ---
+  private val gbpMus = Seq(0.0, 0.1, 0.4, 1.0)
+
+  /** Asserts the table's count, its early-exit count for every `mu` in
+    * `gbpMus`, and the gate decision against [[GbpReference]], reusing one
+    * table across all of `ds`.
+    */
+  private def assertSameCounts(q: Array[Point], ds: Seq[Array[Point]], eps: Double): Unit = {
+    val qc = GBP.queryCells(q, eps)
+    for (d <- ds) {
+      val want = GbpReference.closeCount(q, d, eps)
+      assert(GBP.closeCount(qc, d, eps) == want)
+      for (mu <- gbpMus) {
+        val need = math.ceil(mu * q.length).toInt
+        assert(GBP.closeCount(qc, d, eps, need) == math.min(want, need), s"mu=$mu")
+        assert(GBP.passes(qc, d, eps, mu) == (want >= mu * q.length), s"mu=$mu")
+      }
+    }
+  }
+
+  /** Points of one layout, in cell units of `eps`. Layout "wrap" mixes cells
+    * near 0 with cells near 2^32, which the packing of `GBP.cell` aliases.
+    */
+  private def gridPoints(r: Random, n: Int, eps: Double, layout: String): Array[Point] = {
+    def at(cx: Double, cy: Double) = Point(cx * eps, cy * eps)
+    layout match {
+      case "negative"    => Array.fill(n)(at(r.nextDouble() * 8 - 4, r.nextDouble() * 8 - 4))
+      case "on-grid"     => Array.fill(n)(at(r.nextInt(9) - 4, r.nextInt(9) - 4))
+      case "one-cell"    =>
+        val (cx, cy) = (r.nextInt(3) - 1, r.nextInt(3) - 1)
+        Array.fill(n)(if (r.nextInt(8) == 0) at(r.nextDouble() * 6 - 3, r.nextDouble() * 6 - 3)
+                      else at(cx + r.nextDouble(), cy + r.nextDouble()))
+      case "wrap"        =>
+        def c() = (if (r.nextBoolean()) 4294967296.0 else 0.0) + r.nextDouble() * 4 - 2
+        Array.fill(n)(at(c(), c()))
+    }
+  }
+
+  for (layout <- Seq("negative", "on-grid", "one-cell", "wrap"); seed <- 0 until 10)
+    test(s"GBP query-side table count == hash-set reference [$layout seed=$seed]") {
+      val r = new Random(seed * 131 + layout.length)
+      val eps = Seq(0.1, 0.25, 0.3, 1.0)(seed % 4)
+      val m = if (seed % 3 == 0) 1 else 1 + r.nextInt(30)
+      val q = gridPoints(r, m, eps, layout)
+      val ds = Seq.fill(6)(gridPoints(r, 1 + r.nextInt(40), eps, layout))
+      assertSameCounts(q, ds, eps)
+    }
+
+  for (spec <- Seq(repro.eval.Workloads.porto, repro.eval.Workloads.xian, repro.eval.Workloads.beijing))
+    test(s"GBP query-side table count == hash-set reference on every pair [${spec.name}]") {
+      val ds = repro.eval.Workloads.dataLocal(spec).toSeq.map(_.points)
+      for (q <- repro.eval.Workloads.queries(spec)) assertSameCounts(q, ds, spec.gen.stepKm * 8)
+    }
+
+  // --- Malformed pruning parameters are rejected at the boundary ---
+  for ((name, bad) <- Seq[(String, () => Pruner.Params)](
+         "eps=0"    -> (() => Pruner.Params(eps = 0.0)),
+         "eps<0"    -> (() => Pruner.Params(eps = -1.0)),
+         "eps=NaN"  -> (() => Pruner.Params(eps = Double.NaN)),
+         "eps=+inf" -> (() => Pruner.Params(eps = Double.PositiveInfinity)),
+         "mu<0"     -> (() => Pruner.Params(eps = 1.0, mu = -0.1)),
+         "mu>1"     -> (() => Pruner.Params(eps = 1.0, mu = 1.1)),
+         "mu=NaN"   -> (() => Pruner.Params(eps = 1.0, mu = Double.NaN)),
+         "r=0"      -> (() => Pruner.Params(eps = 1.0, r = 0.0)),
+         "r>1"      -> (() => Pruner.Params(eps = 1.0, r = 1.5)),
+         "r=NaN"    -> (() => Pruner.Params(eps = 1.0, r = Double.NaN))))
+    test(s"Pruner.Params rejects $name") {
+      intercept[IllegalArgumentException](bad())
+    }
+
+  test("Pruner.Params accepts the values its callers use") {
+    for (spec <- Seq(repro.eval.Workloads.porto, repro.eval.Workloads.xian, repro.eval.Workloads.beijing))
+      Pruner.Params(eps = spec.gen.stepKm * 8, mu = 0.1)
+    Pruner.Params(eps = 0.5, mu = 0.3, r = 1.0)
+    Pruner.Params(eps = 1.0, mu = 0.4, r = 1.0)
+    Pruner.Params(eps = 1.0, mu = 0.0, r = 0.05)
+  }
+
   // --- OSF bound soundness ---
   for (seed <- 0 until 6)
     test(s"OSF bbox lower bound <= exact optimum [seed=$seed]") {

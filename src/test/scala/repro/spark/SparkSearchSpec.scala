@@ -5,7 +5,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.{Oracle, SparkSpec}
 import repro.core._
 import repro.eval.Workloads
-import repro.pruning.GBP
+import repro.pruning.{GBP, GbpReference}
 
 /** Distributed search: the Spark dataflow must equal the driver-side loop,
   * and its DataFrame pieces (GBP candidate join, top-K merge) are checked
@@ -59,11 +59,16 @@ class SparkSearchSpec extends AnyFunSuite with SparkSpec {
     val eps = spec.gen.stepKm * 8; val mu = 0.3
     val got = SparkSearch.gbpCandidates(data, q, eps, mu)
       .collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
-    val qCells = GBP.queryCells(q, eps)
-    val want = local.map(t => t.id -> GBP.closeCount(qCells, t.points, eps).toLong)
+    val want = local.map(t => t.id -> GbpReference.closeCount(q, t.points, eps).toLong)
       .filter(_._2 >= mu * q.length).toMap
     assert(got == want)
   }
+
+  for ((eps, mu) <- Seq((0.0, 0.3), (-1.0, 0.3), (Double.NaN, 0.3), (Double.PositiveInfinity, 0.3),
+                        (1.0, -0.1), (1.0, 1.1), (1.0, Double.NaN)))
+    test(s"gbpCandidates rejects eps=$eps mu=$mu") {
+      intercept[IllegalArgumentException](SparkSearch.gbpCandidates(data, q, eps, mu))
+    }
 
   test("searchPruned with safe mu finds the global optimum") {
     val fn = Dist.dtw
