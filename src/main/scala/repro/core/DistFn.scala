@@ -20,13 +20,33 @@ trait WedCosts[T] extends Serializable {
   *   - [[DtwFn]]     — Eq. 8 (delete/insert cost = substitution with the match)
   *   - [[FrechetFn]] — Eq. 9 (bottleneck max instead of sum)
   */
-sealed trait DistFn[T] extends Serializable { def name: String }
+sealed trait DistFn[T] extends Serializable {
+  def name: String
+  /** Substitution cost of matching `a` with `b`, which all three families share. */
+  def sub(a: T, b: T): Double
+}
 
-final case class WedFn[T](name: String, costs: WedCosts[T]) extends DistFn[T]
+final case class WedFn[T](name: String, costs: WedCosts[T]) extends DistFn[T] {
+  def sub(a: T, b: T): Double = costs.sub(a, b)
+}
 
-final case class DtwFn[T](name: String, subFn: (T, T) => Double) extends DistFn[T]
+final case class DtwFn[T](name: String, subFn: (T, T) => Double) extends DistFn[T] {
+  def sub(a: T, b: T): Double = subFn(a, b)
+}
 
-final case class FrechetFn[T](name: String, subFn: (T, T) => Double) extends DistFn[T]
+final case class FrechetFn[T](name: String, subFn: (T, T) => Double) extends DistFn[T] {
+  def sub(a: T, b: T): Double = subFn(a, b)
+}
+
+/** Edit distance on real sequences (Chen et al. [5]): unit indel costs,
+  * substitution free iff the points are within `eps`. A case class so that
+  * pruning bounds can recognise EDR and read its `eps` by type.
+  */
+final case class EdrCosts(eps: Double) extends WedCosts[Point] {
+  def sub(a: Point, b: Point): Double = if (a.distTo(b) <= eps) 0.0 else 1.0
+  def del(a: Point): Double = 1.0
+  def ins(b: Point): Double = 1.0
+}
 
 /** Standard distance-function instances over planar [[Point]]s. */
 object Dist {
@@ -39,14 +59,8 @@ object Dist {
   /** Discrete Fréchet distance (Alt & Godau [2]). */
   val fd: FrechetFn[Point] = FrechetFn("FD", euclid)
 
-  /** Edit distance on real sequences (Chen et al. [5]): unit indel costs,
-    * substitution free iff the points are within `eps`.
-    */
-  def edr(eps: Double): WedFn[Point] = WedFn("EDR", new WedCosts[Point] {
-    def sub(a: Point, b: Point): Double = if (a.distTo(b) <= eps) 0.0 else 1.0
-    def del(a: Point): Double = 1.0
-    def ins(b: Point): Double = 1.0
-  })
+  /** Edit distance on real sequences (Chen et al. [5]), see [[EdrCosts]]. */
+  def edr(eps: Double): WedFn[Point] = WedFn("EDR", EdrCosts(eps))
 
   /** Edit distance with real penalty (Chen & Ng [4]): indel cost = distance
     * to a fixed reference point `g` (e.g. the region centre).

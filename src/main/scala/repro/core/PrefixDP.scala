@@ -27,8 +27,8 @@ sealed trait PrefixDP[T] {
 object PrefixDP {
   def apply[T](q: IndexedSeq[T], fn: DistFn[T]): PrefixDP[T] = fn match {
     case WedFn(_, c)        => new WedPrefixDP(q, c)
-    case DtwFn(_, sub)      => new DtwPrefixDP(q, sub)
-    case FrechetFn(_, sub)  => new FrechetPrefixDP(q, sub)
+    case DtwFn(_, sub)      => new WarpingPrefixDP(q, sub, frechet = false)
+    case FrechetFn(_, sub)  => new WarpingPrefixDP(q, sub, frechet = true)
   }
 
   private final class WedPrefixDP[T](q: IndexedSeq[T], c: WedCosts[T]) extends PrefixDP[T] {
@@ -74,29 +74,36 @@ object PrefixDP {
     }
   }
 
-  private final class DtwPrefixDP[T](q: IndexedSeq[T], sub: (T, T) => Double) extends PrefixDP[T] {
+  /** DTW (Eq. 3, `frechet=false`) and discrete Fréchet (`frechet=true`)
+    * share the `min{col(x), col(x-1), nxt(x-1)}` cell dependency; DTW adds
+    * `sub`, FD takes `max{·, sub}` — the split `CMA.searchSum` uses.
+    */
+  private final class WarpingPrefixDP[T](q: IndexedSeq[T], sub: (T, T) => Double,
+                                         frechet: Boolean) extends PrefixDP[T] {
     private val m = q.length
     private var col = new Array[Double](m + 1)
     private var nxt = new Array[Double](m + 1)
     private var n   = 0
     reset()
 
+    private def step(acc: Double, s: Double): Double = if (frechet) math.max(acc, s) else acc + s
+
     def reset(): Unit = { java.util.Arrays.fill(col, Double.PositiveInfinity); n = 0 }
 
     def extend(p: T): Double = {
       if (n == 0) {
-        // dtw(q[1:x], d[1:1]) = sum_k sub(q[k], p)  (Eq. 3 base case)
+        // Base case: the single data point is matched by every q[1:x] (Eq. 3).
         col(1) = sub(q(0), p)
         var x = 2
-        while (x <= m) { col(x) = col(x - 1) + sub(q(x - 1), p); x += 1 }
+        while (x <= m) { col(x) = step(col(x - 1), sub(q(x - 1), p)); x += 1 }
       } else {
-        nxt(1) = col(1) + sub(q(0), p)
+        nxt(1) = step(col(1), sub(q(0), p))
         var x = 2
         while (x <= m) {
           var best = col(x)
           if (col(x - 1) < best) best = col(x - 1)
           if (nxt(x - 1) < best) best = nxt(x - 1)
-          nxt(x) = best + sub(q(x - 1), p)
+          nxt(x) = step(best, sub(q(x - 1), p))
           x += 1
         }
         val t = col; col = nxt; nxt = t
@@ -108,46 +115,7 @@ object PrefixDP {
     def dist: Double = if (n == 0) Double.PositiveInfinity else col(m)
     def len: Int = n
     def snapshot(): PrefixDP[T] = {
-      val s = new DtwPrefixDP(q, sub)
-      System.arraycopy(col, 0, s.col, 0, m + 1); s.n = n
-      s
-    }
-  }
-
-  private final class FrechetPrefixDP[T](q: IndexedSeq[T], sub: (T, T) => Double) extends PrefixDP[T] {
-    private val m = q.length
-    private var col = new Array[Double](m + 1)
-    private var nxt = new Array[Double](m + 1)
-    private var n   = 0
-    reset()
-
-    def reset(): Unit = { java.util.Arrays.fill(col, Double.PositiveInfinity); n = 0 }
-
-    def extend(p: T): Double = {
-      if (n == 0) {
-        col(1) = sub(q(0), p)
-        var x = 2
-        while (x <= m) { col(x) = math.max(col(x - 1), sub(q(x - 1), p)); x += 1 }
-      } else {
-        nxt(1) = math.max(col(1), sub(q(0), p))
-        var x = 2
-        while (x <= m) {
-          var best = col(x)
-          if (col(x - 1) < best) best = col(x - 1)
-          if (nxt(x - 1) < best) best = nxt(x - 1)
-          nxt(x) = math.max(best, sub(q(x - 1), p))
-          x += 1
-        }
-        val t = col; col = nxt; nxt = t
-      }
-      n += 1
-      col(m)
-    }
-
-    def dist: Double = if (n == 0) Double.PositiveInfinity else col(m)
-    def len: Int = n
-    def snapshot(): PrefixDP[T] = {
-      val s = new FrechetPrefixDP(q, sub)
+      val s = new WarpingPrefixDP(q, sub, frechet)
       System.arraycopy(col, 0, s.col, 0, m + 1); s.n = n
       s
     }

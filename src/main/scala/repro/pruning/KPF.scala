@@ -18,19 +18,11 @@ object KPF {
   /** `minCost(q[i], τd)` for one query point under `fn`. */
   def pointMinCost[T](qi: T, d: IndexedSeq[T], fn: DistFn[T]): Double = {
     var minSub = Double.PositiveInfinity
+    var j = 0
+    while (j < d.length) { val s = fn.sub(qi, d(j)); if (s < minSub) minSub = s; j += 1 }
     fn match {
-      case WedFn(_, c) =>
-        var j = 0
-        while (j < d.length) { val s = c.sub(qi, d(j)); if (s < minSub) minSub = s; j += 1 }
-        math.min(c.del(qi), minSub)
-      case DtwFn(_, sub) =>
-        var j = 0
-        while (j < d.length) { val s = sub(qi, d(j)); if (s < minSub) minSub = s; j += 1 }
-        minSub // DTW deletion cost = sub with the matched point, so min-sub is the bound
-      case FrechetFn(_, sub) =>
-        var j = 0
-        while (j < d.length) { val s = sub(qi, d(j)); if (s < minSub) minSub = s; j += 1 }
-        minSub
+      case WedFn(_, c) => math.min(c.del(qi), minSub)
+      case _           => minSub // DTW/FD deletion cost = sub with the matched point, so min-sub is the bound
     }
   }
 

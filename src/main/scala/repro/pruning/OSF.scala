@@ -38,31 +38,21 @@ object OSF {
 
   /** Per-point conversion-cost lower bound from the bbox distance `g`. */
   private def pointLB(qi: Point, g: Double, fn: DistFn[Point]): Double = fn match {
-    case WedFn("EDR", _)   => 0.0 // sub could be 0 only within eps of a point; bbox can't tell — stay sound with 0 unless far
-    case WedFn(_, c)       => math.min(c.del(qi), g)
-    case DtwFn(_, _)       => g
-    case FrechetFn(_, _)   => g
+    case WedFn(_, EdrCosts(eps)) => if (g > eps) 1.0 else 0.0 // no point within eps: neither a free sub nor cheaper than an indel
+    case WedFn(_, c)             => math.min(c.del(qi), g)
+    case _                       => g // DTW/FD: sub is the point distance
   }
 
   /** Lower bound on the conversion cost of `q` against `d` (sum-type: sum of
-    * per-point bounds at sampling rate `r`, scaled; FD: max). For EDR the
-    * box distance is compared against `eps` out-of-band via `edrEps`.
+    * per-point bounds at sampling rate `r`, scaled; FD: max).
     */
-  def lowerBound(q: Array[Point], box: BBox, fn: DistFn[Point], r: Double,
-                 edrEps: Double = 0.0): Double = {
+  def lowerBound(q: Array[Point], box: BBox, fn: DistFn[Point], r: Double): Double = {
     val idx = KPF.keyPointIdx(q.length, r)
     fn match {
       case FrechetFn(_, _) =>
         var mx = 0.0; var k = 0
         while (k < idx.length) { val g = box.distTo(q(idx(k))); if (g > mx) mx = g; k += 1 }
         mx
-      case WedFn("EDR", _) =>
-        var sum = 0.0; var k = 0
-        while (k < idx.length) {
-          if (box.distTo(q(idx(k))) > edrEps) sum += 1.0 // neither free sub nor cheaper than indel
-          k += 1
-        }
-        sum * q.length / idx.length
       case _ =>
         var sum = 0.0; var k = 0
         while (k < idx.length) { sum += pointLB(q(idx(k)), box.distTo(q(idx(k))), fn); k += 1 }

@@ -18,21 +18,16 @@ object SparkSearch {
   /** Flat result row (DataFrame-friendly for the final merge). */
   final case class Hit(trajId: Long, startIdx: Int, endIdx: Int, dist: Double)
 
-  /** Per-trajectory best subtrajectories as a Dataset (one row per data
-    * trajectory), searching with `algo` ("cma" | "exacts").
+  /** Per-trajectory best subtrajectories as a Dataset (one CMA row per data
+    * trajectory).
     */
-  def perTrajectory(data: Dataset[Traj], q: Array[Point], fn: DistFn[Point],
-                    algo: String = "cma"): Dataset[Hit] = {
+  def perTrajectory(data: Dataset[Traj], q: Array[Point], fn: DistFn[Point]): Dataset[Hit] = {
     import data.sparkSession.implicits._
     val qB = data.sparkSession.sparkContext.broadcast(q)
     data.mapPartitions { it =>
       val qq: IndexedSeq[Point] = scala.collection.immutable.ArraySeq.unsafeWrapArray(qB.value)
       it.filter(_.length > 0).map { t =>
-        val pts: IndexedSeq[Point] = scala.collection.immutable.ArraySeq.unsafeWrapArray(t.points)
-        val r = algo match {
-          case "exacts" => repro.baselines.ExactS.search(qq, pts, fn)
-          case _        => CMA.search(qq, pts, fn)
-        }
+        val r = CMA.search(qq, scala.collection.immutable.ArraySeq.unsafeWrapArray(t.points), fn)
         Hit(t.id, r.start, r.end, r.dist)
       }
     }

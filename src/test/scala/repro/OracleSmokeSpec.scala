@@ -2,47 +2,31 @@ package repro
 
 import org.apache.spark.sql.functions._
 import org.scalatest.funsuite.AnyFunSuite
+import repro.eval.Workloads
 
-/** Smoke tests of the provided scaffolding: SynthData generators are
-  * deterministic and the DuckDB oracle catches agreement/disagreement.
+/** Smoke tests of the DuckDB oracle on trajectory rows: it agrees with a
+  * correct Spark aggregation and catches a wrong one.
   */
 class OracleSmokeSpec extends AnyFunSuite with SparkSpec {
 
-  test("oracle: lineitem group-by returnflag counts (SF=0.001)") {
-    val li = SynthData.lineitem(spark, sf = 0.001).cache()
-    val got = li.groupBy(col("l_returnflag")).agg(count(lit(1)).as("cnt"))
-    Oracle.assertEquivalent(got,
-      "SELECT l_returnflag, count(*) AS cnt FROM lineitem GROUP BY l_returnflag",
-      "lineitem" -> li)
+  /** `(id, len)` of every trajectory of the tiny workload. */
+  private lazy val trajs = {
+    import spark.implicits._
+    Workloads.data(spark, Workloads.tiny).map(t => (t.id, t.length)).toDF("id", "len").cache()
   }
 
-  test("oracle: orders join customer aggregate (SF=0.001)") {
-    val o = SynthData.orders(spark, sf = 0.001).cache()
-    val c = SynthData.customer(spark, sf = 0.001).cache()
-    val got = o.join(c, o("o_custkey") === c("c_custkey"))
-      .groupBy(col("c_mktsegment"))
-      .agg(count(lit(1)).as("cnt"))
-    Oracle.assertEquivalent(got,
-      """SELECT c_mktsegment, count(*) AS cnt
-        |FROM orders JOIN customer ON CAST(o_custkey AS BIGINT) = CAST(c_custkey AS BIGINT)
-        |GROUP BY c_mktsegment""".stripMargin,
-      "orders" -> o, "customer" -> c)
+  private val countsByLen = "SELECT len, count(*) AS cnt FROM trajs GROUP BY len"
+
+  test("oracle: trajectory group-by length counts") {
+    val got = trajs.groupBy(col("len")).agg(count(lit(1)).as("cnt"))
+    Oracle.assertEquivalent(got, countsByLen, "trajs" -> trajs)
   }
 
   test("oracle flags a wrong result") {
-    val li = SynthData.lineitem(spark, sf = 0.001).cache()
-    val wrong = li.groupBy(col("l_returnflag"))
+    val wrong = trajs.groupBy(col("len"))
       .agg((count(lit(1)) + 1).as("cnt")) // deliberately off by one
     intercept[IllegalArgumentException] {
-      Oracle.assertEquivalent(wrong,
-        "SELECT l_returnflag, count(*) AS cnt FROM lineitem GROUP BY l_returnflag",
-        "lineitem" -> li)
+      Oracle.assertEquivalent(wrong, countsByLen, "trajs" -> trajs)
     }
-  }
-
-  test("SynthData generators are deterministic in (sf, seed)") {
-    val a = SynthData.part(spark, sf = 0.001).collect().map(_.toString).sorted
-    val b = SynthData.part(spark, sf = 0.001).collect().map(_.toString).sorted
-    assert(a.toSeq == b.toSeq)
   }
 }

@@ -2,7 +2,6 @@ package repro.eval
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
-import repro.core._
 
 /** Workload generation: dataset specs, query derivation, training pairs. */
 class WorkloadsSpec extends AnyFunSuite with SparkSpec {
@@ -15,15 +14,6 @@ class WorkloadsSpec extends AnyFunSuite with SparkSpec {
     for ((a, b) <- local.zip(dist)) {
       assert(a.id == b.id)
       assert(a.xs.toSeq == b.xs.toSeq && a.ys.toSeq == b.ys.toSeq)
-    }
-  }
-
-  test("SynthData.trajectories matches TrajGen on the executors") {
-    val spec = Workloads.tiny.gen
-    val ds = repro.SynthData.trajectories(spark, 6, spec, seed = 5).collect().sortBy(_.id)
-    for (t <- ds) {
-      val want = TrajGen.gen(t.id, spec, 5)
-      assert(t.xs.toSeq == want.xs.toSeq)
     }
   }
 

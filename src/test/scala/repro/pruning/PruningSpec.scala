@@ -168,12 +168,22 @@ class PruningSpec extends AnyFunSuite {
     test(s"OSF bbox lower bound <= exact optimum [seed=$seed]") {
       val (q, d) = TestGen.randPair(seed * 67 + 23)
       val box = OSF.bbox(d.toArray)
-      for (fn <- Seq[DistFn[Point]](Dist.dtw, Dist.fd, Dist.erp(Point(0.5, 0.5)), Dist.edr(0.3))) {
-        val lb = OSF.lowerBound(q.toArray, box, fn, 1.0, edrEps = 0.3)
+      for (fn <- Seq[DistFn[Point]](Dist.dtw, Dist.fd, Dist.erp(Point(0.5, 0.5)), Dist.edr(0.3),
+                                    Dist.edr(0.1), Dist.edr(0.5),
+                                    Dist.wedCustom[Point]("EDR", Dist.euclid, _ => 5.0, _ => 5.0))) {
+        val lb = OSF.lowerBound(q.toArray, box, fn, 1.0)
         val opt = CMA.search(q, d, fn).dist
         assert(lb <= opt + 1e-9, s"${fn.name}: lb=$lb opt=$opt")
       }
     }
+
+  test("OSF EDR bound reads eps from the function: a point within eps of the box is free") {
+    val d = Array(Point(0, 0), Point(1, 0))
+    val q = Array(Point(1.4, 0))
+    val fn = Dist.edr(0.5)
+    assert(CMA.search(q.toIndexedSeq, d.toIndexedSeq, fn).dist == 0.0)
+    assert(OSF.lowerBound(q, OSF.bbox(d), fn, 1.0) == 0.0)
+  }
 
   test("OSF bbox distance is zero inside, positive outside") {
     val box = OSF.BBox(0, 0, 1, 1)
@@ -187,11 +197,13 @@ class PruningSpec extends AnyFunSuite {
     test(s"pipeline with KPF-only (safe r=1) is exact [${fn.name} seed=$seed]") {
       val db = smallDb(seed + 40)
       val q = TestGen.randPoints(new Random(seed + 99), 6).toArray
-      val params = Pruner.Params(eps = 1.0, mu = 0.4, r = 1.0, useGBP = false, useKPF = true)
+      val params = Pruner.Params(eps = 1.0, mu = 0.0, r = 1.0) // mu = 0: GBP passes everything
+      val stats = Pruner.Stats()
       val got = Pruner.search(q, db, fn, params,
-        (a, b) => CMA.search(a, b, fn)).get
+        (a, b) => CMA.search(a, b, fn), stats).get
       val want = db.map { case (_, d) => CMA.search(q, d, fn).dist }.min
       TestGen.assertSameDist(got.dist, want)
+      assert(stats.gbpPruned == 0, s"stats=$stats")
     }
 
   test("pipeline prunes most of a database of far trajectories") {
@@ -212,7 +224,7 @@ class PruningSpec extends AnyFunSuite {
     val db = smallDb(77)
     val q = TestGen.randPoints(new Random(5), 6).toArray
     val fn = Dist.dtw
-    val got = Pruner.searchOSF(q, db, fn, r = 1.0, edrEps = 0.3,
+    val got = Pruner.searchOSF(q, db, fn, r = 1.0,
       (a, b) => CMA.search(a, b, fn)).get
     val want = db.map { case (_, d) => CMA.search(q, d, fn).dist }.min
     TestGen.assertSameDist(got.dist, want)
@@ -230,7 +242,7 @@ class PruningSpec extends AnyFunSuite {
     val s1 = Pruner.Stats(); val s2 = Pruner.Stats()
     Pruner.search(q, db, Dist.dtw, Pruner.Params(eps = 0.5, mu = 0.3, r = 1.0),
       (a, b) => CMA.search(a, b, Dist.dtw), s1)
-    Pruner.searchOSF(q, db, Dist.dtw, r = 1.0, edrEps = 0.3,
+    Pruner.searchOSF(q, db, Dist.dtw, r = 1.0,
       (a, b) => CMA.search(a, b, Dist.dtw), s2)
     assert(s1.gbpPruned + s1.kpfPruned >= s2.kpfPruned, s"gbpkpf=$s1 osf=$s2")
   }

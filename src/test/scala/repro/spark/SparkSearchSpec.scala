@@ -39,13 +39,6 @@ class SparkSearchSpec extends AnyFunSuite with SparkSpec {
     }
   }
 
-  test("perTrajectory with algo=exacts agrees with CMA distances") {
-    val fn = Dist.fd
-    val a = SparkSearch.perTrajectory(data, q, fn, "cma").collect().sortBy(_.trajId)
-    val b = SparkSearch.perTrajectory(data, q, fn, "exacts").collect().sortBy(_.trajId)
-    for ((x, y) <- a.zip(b)) TestGen.assertSameDist(x.dist, y.dist)
-  }
-
   for (k <- Seq(1, 3, 5))
     test(s"distributed topK == driver-side topK [k=$k]") {
       val fn = Dist.dtw
