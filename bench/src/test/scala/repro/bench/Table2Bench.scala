@@ -18,7 +18,7 @@ import repro.eval.{Harness, Workloads}
   */
 class Table2Bench extends AnyFunSuite with SparkSpec {
 
-  private lazy val rows = Harness.table2(spark, Seq(Workloads.porto, Workloads.xian))
+  private lazy val rows = Harness.table2(spark, Workloads.table2Specs)
 
   private val exactAlgos  = Set("CMA", "ExactS", "Spring", "GB")
   private val approxAlgos = Set("POS", "PSS", "RLS", "RLS-Skip")

@@ -17,15 +17,7 @@ import repro.eval.{Harness, Workloads}
   */
 class Table3Bench extends AnyFunSuite with SparkSpec {
 
-  // Larger databases than Table 2 so search work (not per-job overhead)
-  // dominates the timings; Table 2's metrics are O(mn²) per pair and use the
-  // smaller N (DESIGN.md §4).
-  private lazy val specs = Seq(
-    Workloads.porto.copy(nData = 5000),
-    Workloads.xian.copy(nData = 1000),
-    Workloads.beijing)
-
-  private lazy val rows = Harness.table3(spark, specs)
+  private lazy val rows = Harness.table3(spark, Workloads.table3Specs)
 
   test("Table 3: print measured vs paper") {
     println("=== Table 3 (measured) — paper values in the suite doc comment ===")

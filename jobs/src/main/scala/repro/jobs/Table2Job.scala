@@ -16,7 +16,7 @@ object Table2Job {
     val spark = (if (sys.props.contains("spark.master")) builder
                  else builder.master(sys.env.getOrElse("SPARK_MASTER", "local[*]")))
       .getOrCreate()
-    val rows = Harness.table2(spark, Seq(Workloads.porto, Workloads.xian))
+    val rows = Harness.table2(spark, Workloads.table2Specs)
     println("=== Table 2: Effectiveness of Algorithms ===")
     println(Harness.formatTable2(rows))
     spark.stop()

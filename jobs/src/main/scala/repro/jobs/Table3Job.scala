@@ -16,7 +16,7 @@ object Table3Job {
     val spark = (if (sys.props.contains("spark.master")) builder
                  else builder.master(sys.env.getOrElse("SPARK_MASTER", "local[*]")))
       .getOrCreate()
-    val rows = Harness.table3(spark, Seq(Workloads.porto, Workloads.xian, Workloads.beijing))
+    val rows = Harness.table3(spark, Workloads.table3Specs)
     println("=== Table 3: Efficiency of Algorithms ===")
     println(Harness.formatTable3(rows))
     spark.stop()

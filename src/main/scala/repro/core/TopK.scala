@@ -11,23 +11,18 @@ object TopK {
 
   private implicit val byDistDesc: Ordering[Hit] = Ordering.by[Hit, Double](_.dist)
 
-  /** K best hits (ascending distance), one per data trajectory, using
-    * `search` for each trajectory (CMA by default).
+  /** K best hits (ascending distance), one per data trajectory, using CMA
+    * under `fn` for each trajectory.
     */
-  def search[T](q: IndexedSeq[T], data: Iterable[(Long, IndexedSeq[T])], k: Int,
-                search: (IndexedSeq[T], IndexedSeq[T]) => SubtrajResult): Array[Hit] = {
+  def cma[T](q: IndexedSeq[T], data: Iterable[(Long, IndexedSeq[T])], k: Int,
+             fn: DistFn[T]): Array[Hit] = {
     require(k >= 1, "k must be >= 1")
     val heap = new scala.collection.mutable.PriorityQueue[Hit]() // max-heap by dist
     for ((id, d) <- data if d.nonEmpty) {
-      val r = search(q, d)
+      val r = CMA.search(q, d, fn)
       if (heap.size < k) heap.enqueue(Hit(id, r.start, r.end, r.dist))
       else if (r.dist < heap.head.dist) { heap.dequeue(); heap.enqueue(Hit(id, r.start, r.end, r.dist)) }
     }
     heap.toArray.sortBy(h => (h.dist, h.trajId))
   }
-
-  /** Convenience: top-K with CMA under `fn`. */
-  def cma[T](q: IndexedSeq[T], data: Iterable[(Long, IndexedSeq[T])], k: Int,
-             fn: DistFn[T]): Array[Hit] =
-    search(q, data, k, (a: IndexedSeq[T], b: IndexedSeq[T]) => CMA.search(a, b, fn))
 }

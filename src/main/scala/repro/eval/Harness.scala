@@ -5,6 +5,7 @@ import repro.baselines._
 import repro.baselines.rl.RLS
 import repro.core._
 import repro.pruning.Pruner
+import repro.spark.SparkSearch
 
 /** Shared experiment harness for the paper's evaluation tables. Each
   * `tableN` method runs the experiment distributed over trajectories with
@@ -130,10 +131,10 @@ object Harness {
 
   /** Wall time to answer all queries over the full (pruned) database with
     * each algorithm — Algorithm 3's GBP+KPF pipeline runs inside each
-    * partition, exactly as in the paper's Table 3 setup.
+    * partition (`SparkSearch.pruned`), exactly as in the paper's Table 3
+    * setup.
     */
   def table3(spark: SparkSession, specs: Seq[DatasetSpec]): Seq[Table3Row] = {
-    import spark.implicits._
     specs.flatMap { spec =>
       val fns      = Workloads.distFns(spec)
       val queries  = Workloads.queries(spec)
@@ -143,14 +144,13 @@ object Harness {
       // mu = 0.1: keep a sizable survivor fraction, as in the paper's Table 3
       // where the search phase (not pruning) separates the algorithms.
       val params   = Pruner.Params(eps = spec.gen.stepKm * 8, mu = 0.1)
-      val bcP      = spark.sparkContext.broadcast(policies)
       val sample   = Workloads.dataLocal(spec).take(2).map(_.points)
 
       val rows = for (fn <- fns; algo <- AllAlgos if applicable(algo, fn)) yield {
         // Projection guard (drives the paper's "overtime" entries).
-        val sLocal = searcher(algo, fn, policies)
+        val searchOne = searcher(algo, fn, policies)
         val t0s = System.nanoTime()
-        sample.foreach(d => sLocal(scala.collection.immutable.ArraySeq.unsafeWrapArray(queries.head), scala.collection.immutable.ArraySeq.unsafeWrapArray(d)))
+        sample.foreach(d => searchOne(scala.collection.immutable.ArraySeq.unsafeWrapArray(queries.head), scala.collection.immutable.ArraySeq.unsafeWrapArray(d)))
         val perPair = (System.nanoTime() - t0s) / 1e9 / sample.length
         val parallelism = math.min(spark.sparkContext.defaultParallelism, spec.nData)
         val projected = perPair * spec.nData * queries.length / parallelism
@@ -161,21 +161,9 @@ object Harness {
           var bestDist = Double.PositiveInfinity
           var pruning = Pruner.Stats()
           for (q <- queries) {
-            // One (best distance, counters) row per partition; +inf when
-            // every trajectory of the partition was pruned.
-            val parts = data.mapPartitions { it =>
-              val s = searcher(algo, fn, bcP.value)
-              val trajs = it.filter(_.length > 0).map(t => (t.id, t.points))
-              val stats = Pruner.Stats()
-              val best = Pruner.search(q, trajs.toSeq, fn, params,
-                (a: Array[Point], b: Array[Point]) => s(scala.collection.immutable.ArraySeq.unsafeWrapArray(a), scala.collection.immutable.ArraySeq.unsafeWrapArray(b)),
-                stats)
-              Iterator.single((best.fold(Double.PositiveInfinity)(_.dist), stats))
-            }.collect()
-            for ((d, stats) <- parts) {
-              if (d < bestDist) bestDist = d
-              pruning += stats
-            }
+            val (best, stats) = SparkSearch.pruned(data, q, fn, params, searchOne)
+            for (h <- best if h.dist < bestDist) bestDist = h.dist
+            pruning += stats
           }
           Table3Row(spec.name, fn.name, algo, (System.nanoTime() - t0) / 1e9,
                     overtime = false, bestDist, pruning)

@@ -42,6 +42,15 @@ object Workloads {
     gen = TrajGenSpec(lenMin = 2000, lenMax = 3000, width = 49.8, height = 42.1, stepKm = 0.20),
     qLenMin = 100, qLenMax = 200, nQueries = 2, edrEps = 0.40, seed = 13)
 
+  /** Datasets of Table 2 (effectiveness). */
+  val table2Specs: Seq[DatasetSpec] = Seq(porto, xian)
+
+  /** Datasets of Table 3 (efficiency): larger databases than Table 2 so
+    * search work (not per-job overhead) dominates the timings; Table 2's
+    * metrics are O(mn²) per pair and use the smaller N (DESIGN.md §4).
+    */
+  val table3Specs: Seq[DatasetSpec] = Seq(porto.copy(nData = 5000), xian.copy(nData = 1000), beijing)
+
   /** Tiny spec for unit tests. */
   val tiny: DatasetSpec = DatasetSpec(
     name = "Tiny", nData = 12,

@@ -14,15 +14,6 @@ import repro.core.Point
   */
 object GBP {
 
-  /** Rejects grid sizes and thresholds for which GBP silently degenerates:
-    * `eps` of 0 or NaN maps every point to one cell (nothing is pruned), and
-    * `mu > 1` prunes every trajectory.
-    */
-  def requireParams(eps: Double, mu: Double): Unit = {
-    require(eps > 0 && eps < Double.PositiveInfinity, s"GBP eps must be finite and > 0, got $eps")
-    require(mu >= 0 && mu <= 1, s"GBP mu must be in [0, 1], got $mu")
-  }
-
   /** Cell id of `p` (packed into a Long for cheap hashing). */
   def cell(p: Point, eps: Double): Long = {
     val cx = math.floor(p.x / eps).toLong

@@ -27,16 +27,8 @@ object KPF {
   }
 
   /** Exact (unsampled) lower bound `minCost(τq, τd)` of Theorem B.1. */
-  def lowerBound[T](q: IndexedSeq[T], d: IndexedSeq[T], fn: DistFn[T]): Double = fn match {
-    case FrechetFn(_, _) =>
-      var i = 0; var mx = 0.0
-      while (i < q.length) { val c = pointMinCost(q(i), d, fn); if (c > mx) mx = c; i += 1 }
-      mx
-    case _ =>
-      var i = 0; var sum = 0.0
-      while (i < q.length) { sum += pointMinCost(q(i), d, fn); i += 1 }
-      sum
-  }
+  def lowerBound[T](q: IndexedSeq[T], d: IndexedSeq[T], fn: DistFn[T]): Double =
+    combine(fn, q.length, q.length)(i => pointMinCost(q(i), d, fn))
 
   /** Uniformly sampled key-point indices at rate `r` (at least one point). */
   def keyPointIdx(m: Int, r: Double): Array[Int] = {
@@ -49,15 +41,20 @@ object KPF {
     */
   def estimate[T](q: IndexedSeq[T], d: IndexedSeq[T], fn: DistFn[T], r: Double): Double = {
     val idx = keyPointIdx(q.length, r)
-    fn match {
-      case FrechetFn(_, _) =>
-        var mx = 0.0; var k = 0
-        while (k < idx.length) { val c = pointMinCost(q(idx(k)), d, fn); if (c > mx) mx = c; k += 1 }
-        mx
-      case _ =>
-        var sum = 0.0; var k = 0
-        while (k < idx.length) { sum += pointMinCost(q(idx(k)), d, fn); k += 1 }
-        sum * q.length / idx.length
-    }
+    combine(fn, q.length, idx.length)(k => pointMinCost(q(idx(k)), d, fn))
+  }
+
+  /** Combines the per-point bounds `cost(0 until n)` of `n` of the `m`
+    * query points: the max for FD, else the sum scaled by `m / n`.
+    */
+  private[pruning] def combine(fn: DistFn[_], m: Int, n: Int)(cost: Int => Double): Double = fn match {
+    case FrechetFn(_, _) =>
+      var mx = 0.0; var k = 0
+      while (k < n) { val c = cost(k); if (c > mx) mx = c; k += 1 }
+      mx
+    case _ =>
+      var sum = 0.0; var k = 0
+      while (k < n) { sum += cost(k); k += 1 }
+      sum * m / n
   }
 }

@@ -48,15 +48,6 @@ object OSF {
     */
   def lowerBound(q: Array[Point], box: BBox, fn: DistFn[Point], r: Double): Double = {
     val idx = KPF.keyPointIdx(q.length, r)
-    fn match {
-      case FrechetFn(_, _) =>
-        var mx = 0.0; var k = 0
-        while (k < idx.length) { val g = box.distTo(q(idx(k))); if (g > mx) mx = g; k += 1 }
-        mx
-      case _ =>
-        var sum = 0.0; var k = 0
-        while (k < idx.length) { sum += pointLB(q(idx(k)), box.distTo(q(idx(k))), fn); k += 1 }
-        sum * q.length / idx.length
-    }
+    KPF.combine(fn, q.length, idx.length)(k => pointLB(q(idx(k)), box.distTo(q(idx(k))), fn))
   }
 }

@@ -14,10 +14,13 @@ object Pruner {
 
   /** Knobs of Appendix B/C; defaults mirror the paper's chosen values
     * (`mu = 0.4`, `r = 0.05`) with `eps` expressed in km (the paper's
-    * `0.8e-4` is in degrees ≈ 0.9 km).
+    * `0.8e-4` is in degrees ≈ 0.9 km). Rejects values for which GBP
+    * silently degenerates: `eps` of 0 or NaN maps every point to one cell
+    * (nothing is pruned), and `mu > 1` prunes every trajectory.
     */
   final case class Params(eps: Double, mu: Double = 0.4, r: Double = 0.05) {
-    GBP.requireParams(eps, mu)
+    require(eps > 0 && eps < Double.PositiveInfinity, s"GBP eps must be finite and > 0, got $eps")
+    require(mu >= 0 && mu <= 1, s"GBP mu must be in [0, 1], got $mu")
     require(r > 0 && r <= 1, s"KPF sampling rate r must be in (0, 1], got $r")
   }
 

@@ -1,86 +1,57 @@
 package repro.spark
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.Dataset
 import org.apache.spark.sql.functions._
 import repro.core._
-import repro.pruning.GBP
+import repro.pruning.Pruner
 
 /** Distributed SSS over a Spark `Dataset[Traj]` — the repro target's
-  * dataflow shape: the `O(mn)` per-trajectory CMA runs inside
-  * `mapPartitions` over partitioned trajectory data; each partition keeps a
-  * local top-K so only `K × partitions` rows reach the Catalyst
-  * `orderBy/limit` merge. GBP candidate selection is a DataFrame pipeline
-  * (explode → dilate → join → distinct count) checked against DuckDB in the
-  * tests.
+  * dataflow shape: the `O(mn)` per-trajectory search runs inside
+  * `mapPartitions` over partitioned trajectory data. Two entry points:
+  * exact top-K with CMA, where each partition keeps a local top-K so only
+  * `K × partitions` rows reach the Catalyst `orderBy/limit` merge; and
+  * Algorithm 3, where each partition runs `Pruner.search` with its own
+  * incumbent and the driver keeps the best hit.
   */
 object SparkSearch {
 
   /** Flat result row (DataFrame-friendly for the final merge). */
   final case class Hit(trajId: Long, startIdx: Int, endIdx: Int, dist: Double)
 
-  /** Per-trajectory best subtrajectories as a Dataset (one CMA row per data
-    * trajectory).
-    */
-  def perTrajectory(data: Dataset[Traj], q: Array[Point], fn: DistFn[Point]): Dataset[Hit] = {
-    import data.sparkSession.implicits._
-    val qB = data.sparkSession.sparkContext.broadcast(q)
-    data.mapPartitions { it =>
-      val qq: IndexedSeq[Point] = scala.collection.immutable.ArraySeq.unsafeWrapArray(qB.value)
-      it.filter(_.length > 0).map { t =>
-        val r = CMA.search(qq, scala.collection.immutable.ArraySeq.unsafeWrapArray(t.points), fn)
-        Hit(t.id, r.start, r.end, r.dist)
-      }
-    }
-  }
-
   /** Global top-K via partition-local heaps + Catalyst merge. */
   def topK(data: Dataset[Traj], q: Array[Point], fn: DistFn[Point], k: Int): Array[Hit] = {
+    require(q.nonEmpty, "query must be non-empty")
+    // Checked here: Catalyst folds `limit(0)` away before any task runs.
+    require(k >= 1, s"k must be >= 1, got $k")
     import data.sparkSession.implicits._
     val qB = data.sparkSession.sparkContext.broadcast(q)
     val locals = data.mapPartitions { it =>
       val qq: IndexedSeq[Point] = scala.collection.immutable.ArraySeq.unsafeWrapArray(qB.value)
       val pairs = it.filter(_.length > 0).map(t => (t.id, scala.collection.immutable.ArraySeq.unsafeWrapArray(t.points): IndexedSeq[Point]))
-      TopK.search(qq, pairs.toSeq, k,
-        (a: IndexedSeq[Point], b: IndexedSeq[Point]) => CMA.search(a, b, fn))
+      TopK.cma(qq, pairs.toSeq, k, fn)
         .map(h => Hit(h.trajId, h.start, h.end, h.dist)).iterator
     }
     locals.orderBy(col("dist").asc, col("trajId").asc).limit(k).collect()
   }
 
-  /** Best hit (top-1). */
-  def best(data: Dataset[Traj], q: Array[Point], fn: DistFn[Point]): Hit =
-    topK(data, q, fn, 1).head
-
-  /** GBP candidate selection as a DataFrame pipeline: trajectory ids whose
-    * `close(τq, τd)` count (Eq. 27) reaches `mu * m`.
+  /** Algorithm 3: every partition runs `Pruner.search` with `searchOne` on
+    * its trajectories. Returns the best hit (ties to the smallest `trajId`;
+    * `None` when every trajectory was pruned) and the counters summed over
+    * partitions.
     */
-  def gbpCandidates(data: Dataset[Traj], q: Array[Point], eps: Double, mu: Double): DataFrame = {
-    GBP.requireParams(eps, mu)
-    val spark = data.sparkSession
-    import spark.implicits._
-    // Data side: distinct dilated cells per trajectory (the B(·) blocks).
-    val dataCells = data.flatMap { t =>
-      t.points.iterator.flatMap(p => GBP.dilate(GBP.cell(p, eps))).map(c => (t.id, c)).toSeq
-    }.toDF("trajId", "cell").distinct()
-    // Query side: one row per query point with its cell.
-    val qCells = q.zipWithIndex.map { case (p, i) => (i, GBP.cell(p, eps)) }
-      .toSeq.toDF("qIdx", "cell")
-    val m = q.length
-    dataCells.join(qCells, "cell")
-      .groupBy(col("trajId"))
-      .agg(countDistinct(col("qIdx")).as("close"))
-      .where(col("close") >= mu * m)
-      .select(col("trajId"), col("close"))
-  }
-
-  /** Full distributed pipeline: GBP filter (DataFrame semi-join), then
-    * per-trajectory CMA on the survivors, then top-K merge.
-    */
-  def searchPruned(data: Dataset[Traj], q: Array[Point], fn: DistFn[Point],
-                   eps: Double, mu: Double, k: Int): Array[Hit] = {
+  def pruned(data: Dataset[Traj], q: Array[Point], fn: DistFn[Point], params: Pruner.Params,
+             searchOne: (IndexedSeq[Point], IndexedSeq[Point]) => SubtrajResult): (Option[TopK.Hit], Pruner.Stats) = {
+    require(q.nonEmpty, "query must be non-empty")
     import data.sparkSession.implicits._
-    val cand = gbpCandidates(data, q, eps, mu).select("trajId")
-    val survivors = data.join(cand, data("id") === cand("trajId"), "left_semi").as[Traj]
-    topK(survivors, q, fn, k)
+    val parts = data.mapPartitions { it =>
+      val trajs = it.filter(_.length > 0).map(t => (t.id, t.points))
+      val stats = Pruner.Stats()
+      val best = Pruner.search(q, trajs.toSeq, fn, params,
+        (a: Array[Point], b: Array[Point]) => searchOne(scala.collection.immutable.ArraySeq.unsafeWrapArray(a), scala.collection.immutable.ArraySeq.unsafeWrapArray(b)),
+        stats)
+      Iterator.single((best, stats))
+    }.collect()
+    (parts.flatMap(_._1).minByOption(h => (h.dist, h.trajId)),
+     parts.map(_._2).foldLeft(Pruner.Stats())(_ + _))
   }
 }

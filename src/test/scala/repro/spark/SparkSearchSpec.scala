@@ -5,11 +5,10 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.{Oracle, SparkSpec}
 import repro.core._
 import repro.eval.Workloads
-import repro.pruning.{GBP, GbpReference}
+import repro.pruning.Pruner
 
 /** Distributed search: the Spark dataflow must equal the driver-side loop,
-  * and its DataFrame pieces (GBP candidate join, top-K merge) are checked
-  * against DuckDB via the Oracle.
+  * and its top-K merge is checked against DuckDB via the Oracle.
   */
 class SparkSearchSpec extends AnyFunSuite with SparkSpec {
 
@@ -18,19 +17,21 @@ class SparkSearchSpec extends AnyFunSuite with SparkSpec {
   private lazy val local = Workloads.dataLocal(spec)
   private lazy val q     = Workloads.queries(spec).head
 
+  private val fns = Seq[DistFn[Point]](Dist.dtw, Dist.edr(spec.edrEps), Dist.erp(spec.erpCenter), Dist.fd)
+
   private def localBest(fn: DistFn[Point]): Seq[(Long, SubtrajResult)] =
     local.toSeq.map(t => (t.id, CMA.search(q, t.points, fn)))
 
-  for (fn <- Seq[DistFn[Point]](Dist.dtw, Dist.edr(spec.edrEps), Dist.erp(spec.erpCenter), Dist.fd))
+  for (fn <- fns)
     test(s"distributed best == driver-side best [${fn.name}]") {
-      val got = SparkSearch.best(data, q, fn)
+      val got = SparkSearch.topK(data, q, fn, 1).head
       val want = localBest(fn).map(_._2.dist).min
       TestGen.assertSameDist(got.dist, want)
     }
 
-  test("perTrajectory emits one exact hit per trajectory") {
+  test("topK with k >= N emits one exact hit per trajectory") {
     val fn = Dist.dtw
-    val hits = SparkSearch.perTrajectory(data, q, fn).collect().sortBy(_.trajId)
+    val hits = SparkSearch.topK(data, q, fn, local.length).sortBy(_.trajId)
     val want = localBest(fn)
     assert(hits.length == want.length)
     for ((h, (id, r)) <- hits.zip(want)) {
@@ -48,74 +49,58 @@ class SparkSearchSpec extends AnyFunSuite with SparkSpec {
       for ((g, (_, w)) <- got.zip(want)) TestGen.assertSameDist(g.dist, w.dist)
     }
 
-  test("gbpCandidates == driver-side GBP counts") {
-    val eps = spec.gen.stepKm * 8; val mu = 0.3
-    val got = SparkSearch.gbpCandidates(data, q, eps, mu)
-      .collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
-    val want = local.map(t => t.id -> GbpReference.closeCount(q, t.points, eps).toLong)
-      .filter(_._2 >= mu * q.length).toMap
-    assert(got == want)
+  test("topK rejects k < 1") {
+    intercept[IllegalArgumentException](SparkSearch.topK(data, q, Dist.dtw, 0))
   }
 
-  for ((eps, mu) <- Seq((0.0, 0.3), (-1.0, 0.3), (Double.NaN, 0.3), (Double.PositiveInfinity, 0.3),
-                        (1.0, -0.1), (1.0, 1.1), (1.0, Double.NaN)))
-    test(s"gbpCandidates rejects eps=$eps mu=$mu") {
-      intercept[IllegalArgumentException](SparkSearch.gbpCandidates(data, q, eps, mu))
+  test("topK and pruned reject an empty query") {
+    val params = Pruner.Params(eps = spec.gen.stepKm * 8)
+    intercept[IllegalArgumentException](SparkSearch.topK(data, Array.empty[Point], Dist.dtw, 1))
+    intercept[IllegalArgumentException](
+      SparkSearch.pruned(data, Array.empty[Point], Dist.dtw, params, (a, b) => CMA.search(a, b, Dist.dtw)))
+  }
+
+  for (fn <- fns)
+    test(s"pruned with mu=0, r=1 returns the unpruned optimum [${fn.name}]") {
+      // mu = 0 passes every trajectory through GBP, and KPF at r = 1 is the
+      // exact Theorem-B.1 bound.
+      val params = Pruner.Params(eps = spec.gen.stepKm * 8, mu = 0.0, r = 1.0)
+      val (got, stats) = SparkSearch.pruned(data, q, fn, params, (a, b) => CMA.search(a, b, fn))
+      assert(got.nonEmpty)
+      val h = got.get
+      TestGen.assertSameDist(h.dist, localBest(fn).map(_._2.dist).min)
+      assert(stats.examined == local.count(_.length > 0), s"stats=$stats")
+      assert(stats.gbpPruned + stats.kpfPruned + stats.searched == stats.examined, s"stats=$stats")
+      val d = local.find(_.id == h.trajId).get.points.toIndexedSeq
+      TestGen.assertSameDist(FullDist.dist(q.toIndexedSeq, d.slice(h.start - 1, h.end), fn), h.dist)
     }
 
-  test("searchPruned with safe mu finds the global optimum") {
-    val fn = Dist.dtw
-    val got = SparkSearch.searchPruned(data, q, fn, eps = spec.gen.stepKm * 20, mu = 0.0, k = 1)
-    val want = localBest(fn).map(_._2.dist).min
-    assert(got.nonEmpty)
-    TestGen.assertSameDist(got.head.dist, want)
+  test("pruned breaks a distance tie across partitions toward the smaller trajId") {
+    import spark.implicits._
+    val pts = local.head.points.toSeq
+    // One twin per partition, the larger id first.
+    val twins = spark.sparkContext.parallelize(Seq(Traj.fromPoints(7, pts), Traj.fromPoints(3, pts)), 2).toDS()
+    val params = Pruner.Params(eps = spec.gen.stepKm * 8, mu = 0.0, r = 1.0)
+    val (got, stats) = SparkSearch.pruned(twins, q, Dist.dtw, params, (a, b) => CMA.search(a, b, Dist.dtw))
+    assert(got.map(_.trajId).contains(3L), s"got=$got")
+    assert(stats.examined == 2 && stats.searched == 2, s"stats=$stats")
   }
 
   // ------------------------------------------------------------------
   // DuckDB oracle checks of the DataFrame logic
   // ------------------------------------------------------------------
 
-  test("oracle: top-1 arg-min aggregation over per-trajectory hits") {
-    import spark.implicits._
-    val hits = SparkSearch.perTrajectory(data, q, Dist.dtw).toDF()
-    val sparkMin = hits.agg(min(col("dist")).as("best_dist"))
-    Oracle.assertEquivalent(sparkMin,
-      "SELECT min(CAST(dist AS DOUBLE)) AS best_dist FROM hits",
-      "hits" -> hits)
-  }
-
-  test("oracle: top-K order-by/limit merge matches SQL ranking") {
-    import spark.implicits._
-    val hits = SparkSearch.perTrajectory(data, q, Dist.dtw).toDF()
-    val k = 3
-    // Compare the *distance multiset* of the top-K (ties could reorder ids).
-    val sparkTop = hits.orderBy(col("dist").asc, col("trajId").asc).limit(k)
-      .agg(sum(col("dist")).as("sum_dist"), count(lit(1)).as("cnt"))
-    Oracle.assertEquivalent(sparkTop,
-      s"""SELECT sum(dist) AS sum_dist, count(*) AS cnt FROM (
-         |  SELECT CAST(dist AS DOUBLE) AS dist FROM hits
-         |  ORDER BY dist ASC, CAST(trajId AS BIGINT) ASC LIMIT $k)""".stripMargin,
-      "hits" -> hits)
-  }
-
-  test("oracle: GBP candidate join/count pipeline") {
-    import spark.implicits._
-    val eps = spec.gen.stepKm * 8; val mu = 0.3
-    // Rebuild the two pipeline inputs exactly as SparkSearch.gbpCandidates does.
-    val dataCells = data.flatMap { t =>
-      t.points.iterator.flatMap(p => GBP.dilate(GBP.cell(p, eps))).map(c => (t.id, c)).toSeq
-    }.toDF("trajId", "cell").distinct()
-    val qCells = q.zipWithIndex.map { case (p, i) => (i, GBP.cell(p, eps)) }
-      .toSeq.toDF("qIdx", "cell")
-    val got = SparkSearch.gbpCandidates(data, q, eps, mu)
-    val threshold = mu * q.length
-    Oracle.assertEquivalent(got,
-      s"""SELECT CAST(trajId AS BIGINT) AS trajId, count(DISTINCT qIdx) AS close
-         |FROM dataCells JOIN qCells USING (cell)
-         |GROUP BY trajId
-         |HAVING count(DISTINCT qIdx) >= $threshold""".stripMargin,
-      "dataCells" -> dataCells, "qCells" -> qCells)
-  }
+  for (k <- Seq(1, 3))
+    test(s"oracle: topK rows == SQL ORDER BY dist, trajId LIMIT k over driver-side hits [k=$k]") {
+      import spark.implicits._
+      val got = SparkSearch.topK(data, q, Dist.dtw, k).toSeq.toDF().select("trajId", "dist")
+      val hits = localBest(Dist.dtw).map { case (id, r) => (id, r.dist) }.toDF("trajId", "dist")
+      Oracle.assertEquivalent(got,
+        s"""SELECT trajId, dist FROM (
+           |  SELECT CAST(trajId AS BIGINT) AS trajId, CAST(dist AS DOUBLE) AS dist FROM hits)
+           |ORDER BY dist ASC, trajId ASC LIMIT $k""".stripMargin,
+        "hits" -> hits)
+    }
 
   test("oracle: Table-2 style avg aggregation of metric records") {
     import spark.implicits._
