@@ -90,17 +90,27 @@ class SparkSearchSpec extends AnyFunSuite with SparkSpec {
   // DuckDB oracle checks of the DataFrame logic
   // ------------------------------------------------------------------
 
-  for (k <- Seq(1, 3))
-    test(s"oracle: topK rows == SQL ORDER BY dist, trajId LIMIT k over driver-side hits [k=$k]") {
-      import spark.implicits._
-      val got = SparkSearch.topK(data, q, Dist.dtw, k).toSeq.toDF().select("trajId", "dist")
-      val hits = localBest(Dist.dtw).map { case (id, r) => (id, r.dist) }.toDF("trajId", "dist")
-      Oracle.assertEquivalent(got,
-        s"""SELECT trajId, dist FROM (
-           |  SELECT CAST(trajId AS BIGINT) AS trajId, CAST(dist AS DOUBLE) AS dist FROM hits)
-           |ORDER BY dist ASC, trajId ASC LIMIT $k""".stripMargin,
-        "hits" -> hits)
-    }
+  /** SparkSearch.topK's (trajId, dist) rows must equal SQL's
+    * ORDER BY dist, trajId LIMIT k over the driver-side per-trajectory hits.
+    */
+  private def assertTopKMatchesSql(k: Int): Unit = {
+    import spark.implicits._
+    val got = SparkSearch.topK(data, q, Dist.dtw, k).toSeq.toDF().select("trajId", "dist")
+    val hits = localBest(Dist.dtw).map { case (id, r) => (id, r.dist) }.toDF("trajId", "dist")
+    Oracle.assertEquivalent(got,
+      s"""SELECT trajId, dist FROM (
+         |  SELECT CAST(trajId AS BIGINT) AS trajId, CAST(dist AS DOUBLE) AS dist FROM hits)
+         |ORDER BY dist ASC, trajId ASC LIMIT $k""".stripMargin,
+      "hits" -> hits)
+  }
+
+  test("oracle: top-1 arg-min aggregation over per-trajectory hits") {
+    assertTopKMatchesSql(1)
+  }
+
+  test("oracle: top-K order-by/limit merge matches SQL ranking") {
+    assertTopKMatchesSql(3)
+  }
 
   test("oracle: Table-2 style avg aggregation of metric records") {
     import spark.implicits._
